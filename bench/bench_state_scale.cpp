@@ -13,11 +13,11 @@
 //
 // Metric definitions (all emitted per point):
 //  - sustained_tx_per_sec: transactions over the mining loop's wall time
-//    MINUS state-root publication time. The root is a full O(state)
-//    sort-and-hash that is byte-for-byte identical work with the arena
-//    on or off — including it would only compress the allocator
-//    ablation into hash noise at million-account scale. This is the
-//    state layer's honest sustained rate.
+//    MINUS state-root publication time. The root (the cached state
+//    trie rehashing the block's dirty pages) is byte-for-byte identical
+//    work with the arena on or off — including it would only blur the
+//    allocator ablation. This is the state layer's honest sustained
+//    rate.
 //  - end_to_end_tx_per_sec: the same loop with root publication
 //    included (the number a full node would see; state_root_ms makes
 //    the difference explicit).
@@ -223,7 +223,7 @@ PointResult measure_point(const workload::ZipfSpec& spec, std::size_t blocks,
   point.genesis_heap_allocs =
       bench_alloc::count.load(std::memory_order_relaxed) - allocs0;
 
-  const chain::Block genesis = fixture.genesis();  // One O(state) root per point.
+  const chain::Block genesis = fixture.genesis();  // One cold, full root per point.
   point.genesis_root = genesis.header.state_root;
   const vm::WorldSnapshot genesis_snap(*fixture.world, genesis.header.state_root);
 

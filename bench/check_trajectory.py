@@ -6,7 +6,8 @@ Each trajectory file (written by record_trajectory.sh) wraps one
 bench_node_throughput run: {commit, date, hardware_threads,
 node_throughput: [points...]}, plus optional state_scale and read_storm
 arrays (the bench_state_scale arena ablation and the bench_read_storm
-MVCC read-path storm, both reported informationally but never gated).
+MVCC read-path storm; the read storm and the arena comparison are
+reported informationally, the state-scale root ratio gates — see below).
 node_throughput points are keyed by
 (benchmark, pipelined, pipeline_depth, mine_shards); files that predate
 the depth-k ring carry no pipeline_depth field and read as depth 1, and
@@ -28,6 +29,20 @@ fingerprints of the two newest files disagree by more than 10% (or only
 one file carries one), absolute tx/s is not comparable and the gate
 skips instead of red-flagging phantom regressions. The full history
 table is always printed.
+
+The state-root key does not need the fingerprint: for every
+bench_state_scale point it takes state_root_ms / wall_ms (root hashing
+over mining, both measured in the same run, so host speed cancels),
+pairs the points both newest files carry (same benchmark, accounts,
+skew, conflict, arena), and fails if the median of their ratio changes
+rose by more than ROOT_THRESHOLD. One point alone is too noisy to gate:
+in two sets of eight run_all.sh sweeps of one commit (54 quick points
+each, a 4-core host) single points moved by up to 170% between two
+sweeps, while the median over the shared points moved by at most 11%;
+ROOT_THRESHOLD is close to three times that. With fewer than
+MIN_ROOT_POINTS shared points the changes are printed but not gated.
+It still needs equal hardware_threads (mining is multi-threaded,
+hashing is not).
 
 usage: check_trajectory.py [--threshold=0.15] [trajectory-dir]
 """
@@ -72,6 +87,78 @@ def machine_speed(meta):
         if point.get("machine_iters_per_us"):
             return float(point["machine_iters_per_us"])
     return None
+
+
+# Shared state-scale points needed before the root ratio gates; a
+# run_all.sh sweep records 54.
+MIN_ROOT_POINTS = 9
+# Largest median rise of the root ratio the gate lets through (see the
+# module docstring for the spread it comes from).
+ROOT_THRESHOLD = 0.30
+
+
+def root_ratios(meta):
+    """-> {(benchmark, accounts, skew, conflict, arena): state_root_ms / wall_ms}.
+
+    bench_state_scale reports state_root_ms (root hashing) and wall_ms
+    (the mining loop without it) from one run, so their ratio is the
+    within-run cost of the state root per unit of mining. Repeated
+    points of one key (several samples in one file) fold to the median."""
+    ratios = {}
+    for point in meta.get("state_scale") or []:
+        root = float(point.get("state_root_ms", 0.0))
+        mining = float(point.get("wall_ms", 0.0))
+        if root <= 0 or mining <= 0:
+            continue
+        key = (
+            point.get("benchmark", "?"),
+            int(point.get("accounts", 0)),
+            float(point.get("skew", 0.0)),
+            int(point.get("conflict_percent", 0)),
+            bool(point.get("arena")),
+        )
+        ratios.setdefault(key, []).append(root / mining)
+    return {key: sorted(values)[len(values) // 2] for key, values in ratios.items()}
+
+
+def fmt_ratio_key(key):
+    benchmark, accounts, skew, conflict, arena = key
+    return (
+        f"{benchmark} @ {accounts} accounts skew {skew:g} conflict {conflict}% "
+        f"arena {'on' if arena else 'off'}"
+    )
+
+
+def gate_root_ratio(prev_name, prev_meta, cur_name, cur_meta):
+    """Gates the median change of state_root_ms / mining ms over the
+    points both files carry. Returns 1 on a regression, else 0."""
+    prev_ratios, cur_ratios = root_ratios(prev_meta), root_ratios(cur_meta)
+    shared = sorted(set(prev_ratios) & set(cur_ratios))
+    if not shared:
+        print(
+            f"check_trajectory: root ratio — {prev_name} and {cur_name} share no "
+            "state-scale points; nothing to gate"
+        )
+        return 0
+    deltas = []
+    for key in shared:
+        prev_ratio, cur_ratio = prev_ratios[key], cur_ratios[key]
+        deltas.append((cur_ratio - prev_ratio) / prev_ratio)
+        print(
+            f"  root/mining {fmt_ratio_key(key)}: {prev_ratio:.2f} -> {cur_ratio:.2f} "
+            f"({deltas[-1]:+.1%})"
+        )
+    median = sorted(deltas)[len(deltas) // 2]
+    if len(shared) < MIN_ROOT_POINTS:
+        print(
+            f"  root/mining median change {median:+.1%} over {len(shared)} shared point(s); "
+            f"fewer than {MIN_ROOT_POINTS}, informational only"
+        )
+        return 0
+    regressed = median > ROOT_THRESHOLD
+    marker = "  << REGRESSION" if regressed else ""
+    print(f"  root/mining median change {median:+.1%} over {len(shared)} shared points{marker}")
+    return int(regressed)
 
 
 def fmt_key(key):
@@ -210,20 +297,41 @@ def main(argv):
         )
         return 0
 
+    root_regressions = gate_root_ratio(prev_name, prev_meta, cur_name, cur_meta)
+    tx_regressions = gate_throughput(prev_name, prev_meta, prev_points, cur_name, cur_meta,
+                                     cur_points, threshold)
+    if root_regressions or tx_regressions:
+        print(
+            f"check_trajectory: FAIL — {tx_regressions} throughput key(s) regressed more "
+            f"than {threshold:.0%}, {root_regressions} state-root median more than "
+            f"{ROOT_THRESHOLD:.0%}, between {prev_name} and {cur_name}"
+        )
+        return 1
+    print(
+        f"check_trajectory: OK — no tx/s regression beyond {threshold:.0%} and no state-root "
+        f"median rise beyond {ROOT_THRESHOLD:.0%} in {cur_name}"
+    )
+    return 0
+
+
+def gate_throughput(prev_name, prev_meta, prev_points, cur_name, cur_meta, cur_points,
+                    threshold):
+    """Gates absolute sustained tx/s when the machine-speed fingerprints
+    agree. Returns the number of regressions (0 when it skips)."""
     prev_speed, cur_speed = machine_speed(prev_meta), machine_speed(cur_meta)
     if (prev_speed is None) != (cur_speed is None):
         unfingerprinted = prev_name if prev_speed is None else cur_name
         print(
-            f"check_trajectory: SKIP — {unfingerprinted} carries no machine-speed fingerprint; "
-            "without machine_iters_per_us on both sides, absolute tx/s cannot be attributed to "
-            "code vs. host state (shared-infra frequency/steal shifts)"
+            f"check_trajectory: SKIP tx/s — {unfingerprinted} carries no machine-speed "
+            "fingerprint; without machine_iters_per_us on both sides, absolute tx/s cannot be "
+            "attributed to code vs. host state (shared-infra frequency/steal shifts)"
         )
         return 0
     if prev_speed is not None and cur_speed is not None and prev_speed > 0:
         drift = abs(cur_speed - prev_speed) / prev_speed
         if drift > 0.10:
             print(
-                f"check_trajectory: SKIP — machine speed drifted {drift:.0%} between runs "
+                f"check_trajectory: SKIP tx/s — machine speed drifted {drift:.0%} between runs "
                 f"({prev_speed:.0f} -> {cur_speed:.0f} burn-iters/µs); the host, not the code, "
                 "changed — absolute tx/s is not comparable"
             )
@@ -233,10 +341,10 @@ def main(argv):
     # (cross-shard arbitration makes their throughput workload-shaped).
     shared = sorted(key for key in set(prev_points) & set(cur_points) if key[3] == 1)
     if not shared:
-        print(f"check_trajectory: SKIP — {prev_name} and {cur_name} share no benchmark keys")
+        print(f"check_trajectory: SKIP tx/s — {prev_name} and {cur_name} share no benchmark keys")
         return 0
 
-    regressions = []
+    regressions = 0
     for key in shared:
         prev_tx, cur_tx = prev_points[key]["tx"], cur_points[key]["tx"]
         if prev_tx <= 0:
@@ -245,7 +353,7 @@ def main(argv):
         marker = ""
         if delta < -threshold:
             marker = "  << REGRESSION"
-            regressions.append((key, prev_tx, cur_tx, delta))
+            regressions += 1
         print(f"  {fmt_key(key)}: {prev_tx:.0f} -> {cur_tx:.0f} tx/s ({delta:+.1%}){marker}")
 
     # snapshot_ms deltas are informational only (never gate): the number
@@ -261,15 +369,7 @@ def main(argv):
             f"  [info] {fmt_key(key)}: snapshot_ms {prev_ms:.3f} -> {cur_ms:.3f} "
             f"({delta_txt}; informational, non-gating)"
         )
-
-    if regressions:
-        print(
-            f"check_trajectory: FAIL — {len(regressions)} benchmark(s) regressed more than "
-            f"{threshold:.0%} between {prev_name} and {cur_name}"
-        )
-        return 1
-    print(f"check_trajectory: OK — no regression beyond {threshold:.0%} in {cur_name}")
-    return 0
+    return regressions
 
 
 if __name__ == "__main__":

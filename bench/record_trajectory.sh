@@ -31,8 +31,9 @@ print(next((p['machine_iters_per_us'] for p in points
             if p.get('machine_iters_per_us')), 0))" 2>/dev/null || echo 0)"
 
 # The state-scale ablation rides along when its JSON sits next to the
-# node-throughput file (run_all.sh writes both into one dir). Recorded
-# informationally — check_trajectory.py gates only node_throughput.
+# node-throughput file (run_all.sh writes both into one dir).
+# check_trajectory.py gates its state_root_ms / wall_ms ratio; the rest
+# of each point is informational.
 STATE_SRC="$(dirname "$SRC")/bench_state_scale.json"
 
 # Same deal for the MVCC read storm: read QPS / latency / write-path

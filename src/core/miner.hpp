@@ -75,9 +75,10 @@ struct MinerStats {
   /// Arena counters of the mined world's lineage (all zero when the
   /// world runs the heap baseline). Snapshot at block assembly.
   vm::ArenaStats arena;
-  /// Time computing the block's state root during assembly. O(state),
-  /// not O(block): at million-account scale it dominates mine() wall
-  /// time, so benches that study the execution/state layer subtract it.
+  /// Time computing the block's state root during assembly: O(pages the
+  /// block dirtied) through the cached state trie, but a full pass after
+  /// a directory doubling. Benches that study the execution/state layer
+  /// subtract it.
   double state_root_ms = 0.0;
   /// ConcordSan violations found in this block (lockset + soundness);
   /// always 0 when MinerConfig::detect is off. Details live in
@@ -125,7 +126,7 @@ class Miner {
   /// `txs` through the speculative pool on this miner's world (a fork of
   /// the block boundary for shard lanes ≥ 1), then re-sorts the outcome
   /// into the derived schedule's serial order. No state root, no header
-  /// — per-lane O(state) work is exactly what the merge layer avoids.
+  /// — per-lane root work is exactly what the merge layer avoids.
   [[nodiscard]] LaneResult mine_lane(const std::vector<chain::Transaction>& txs);
 
   /// Serial flavor of mine_lane() (lane order = input order).

@@ -154,7 +154,7 @@ void Node::run_sequential() {
     if (validate_and_append(std::move(block), validate_ms)) {
       if (recovery_enabled()) {
         // An O(contracts) COW fork; the accepted block's verified root
-        // seeds the snapshot so no O(state) hash runs either.
+        // seeds the snapshot so no hash runs either.
         const auto t_snapshot = Clock::now();
         boundary = vm::WorldSnapshot(*miner_world_, parent.header.state_root);
         snapshot_ms += ms_since(t_snapshot);
@@ -630,7 +630,7 @@ bool Node::validate_and_append(chain::Block block, double& validate_ms) {
     // Publish the accepted boundary to readers. validate_parallel left
     // validator_world_ at exactly the post-block state and cross-checked
     // `root` against it, so the snapshot is verified state and seeding
-    // the root cache is sound (readers never pay the O(state) hash). The
+    // the root cache is sound (readers never pay for a root). The
     // fork is O(contracts), on the appending thread — the same thread
     // for every publish and rewind, which is the ring's single-writer
     // contract.

@@ -101,11 +101,25 @@ void ForkJoinPool::worker_loop(unsigned self) {
     }
     if (job == nullptr) continue;  // Raced with a drain; park again.
 
-    while (job->remaining.load(std::memory_order_acquire) != 0) {
+    // Spin briefly when the deques run dry (a successor is usually one
+    // task away), then park on work_signal_ until execute() pushes a
+    // ready successor or the DAG drains. The signal is read before both
+    // the drain check and the search for work, and execute() bumps it
+    // only after pushing a successor or draining `remaining`: a push that
+    // find_work() missed, or a drain that the check missed, has changed
+    // the signal, so wait() returns at once: no lost wakeup.
+    unsigned idle_rounds = 0;
+    for (;;) {
+      const std::uint32_t signal = work_signal_.load(std::memory_order_acquire);
+      if (job->remaining.load(std::memory_order_acquire) == 0) break;
       if (auto task = find_work(self)) {
         execute(*job, self, *task);
-      } else {
+        idle_rounds = 0;
+      } else if (++idle_rounds < kSpinRounds) {
         std::this_thread::yield();
+      } else {
+        work_signal_.wait(signal, std::memory_order_acquire);
+        idle_rounds = 0;
       }
     }
     // remaining is modified outside mu_, so bridge the gap: acquiring and
@@ -118,12 +132,18 @@ void ForkJoinPool::worker_loop(unsigned self) {
 
 void ForkJoinPool::execute(Job& job, unsigned self, std::uint32_t task) {
   (*job.body)(task);
+  bool forked = false;
   for (const std::uint32_t succ : (*job.successors)[task]) {
     if (job.pending[succ].fetch_sub(1, std::memory_order_acq_rel) == 1) {
       deques_[self]->push(succ);
+      forked = true;
     }
   }
-  job.remaining.fetch_sub(1, std::memory_order_acq_rel);
+  const bool drained = job.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1;
+  if (forked || drained) {
+    work_signal_.fetch_add(1, std::memory_order_acq_rel);
+    work_signal_.notify_all();
+  }
 }
 
 std::optional<std::uint32_t> ForkJoinPool::find_work(unsigned self) {

@@ -27,7 +27,10 @@ namespace concord::sched {
 /// that conflicting actions never execute concurrently."
 ///
 /// Workers are persistent across run_dag calls (the paper's pools are
-/// long-lived); the calling thread blocks until the DAG drains.
+/// long-lived); the calling thread blocks until the DAG drains. A worker
+/// that runs out of ready tasks mid-DAG spins a few rounds, then parks
+/// until a task forks a successor or the DAG drains, so idle validator
+/// threads do not burn the cores the miner needs.
 class ForkJoinPool {
  public:
   explicit ForkJoinPool(unsigned threads);
@@ -86,6 +89,12 @@ class ForkJoinPool {
   Job* job_ = nullptr;
 
   std::atomic<std::uint64_t> steals_{0};
+
+  /// Empty find_work() rounds a worker spins (yielding) before parking.
+  static constexpr unsigned kSpinRounds = 64;
+  /// Bumped and notified by execute() whenever it forks a ready successor
+  /// and when a job's last task finishes; idle workers park on it.
+  std::atomic<std::uint32_t> work_signal_{0};
 };
 
 }  // namespace concord::sched

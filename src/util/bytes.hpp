@@ -63,6 +63,11 @@ class ByteWriter {
     buf_.insert(buf_.end(), bytes.begin(), bytes.end());
   }
 
+  void reserve(std::size_t bytes) { buf_.reserve(bytes); }
+
+  /// Empties the buffer, keeping its capacity for reuse.
+  void clear() noexcept { buf_.clear(); }
+
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const noexcept { return buf_; }
   [[nodiscard]] std::vector<std::uint8_t> take() && { return std::move(buf_); }
   [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }

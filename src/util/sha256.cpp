@@ -4,6 +4,12 @@
 
 #include "util/bytes.hpp"
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#include <immintrin.h>
+#define CONCORD_SHA256_X86 1
+#endif
+
 namespace concord::util {
 
 namespace {
@@ -65,17 +71,21 @@ Hash256 Sha256::finish() noexcept {
   const std::uint64_t bit_length = total_bytes_ * 8;
 
   // Append the 0x80 terminator, zero-pad to 56 mod 64, then the 64-bit
-  // big-endian message length.
-  const std::uint8_t terminator = 0x80;
-  update(std::span<const std::uint8_t>(&terminator, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffered_ != 56) update(std::span<const std::uint8_t>(&zero, 1));
-
-  std::array<std::uint8_t, 8> length_be{};
-  for (int i = 0; i < 8; ++i) {
-    length_be[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
+  // big-endian message length. The padding is written into the buffer
+  // directly: state roots hash many short messages (two-child trie
+  // nodes), where feeding it byte by byte cost as much as the rounds.
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > 56) {
+    std::memset(buffer_.data() + buffered_, 0, buffer_.size() - buffered_);
+    process_block(buffer_.data());
+    buffered_ = 0;
   }
-  update(length_be);
+  std::memset(buffer_.data() + buffered_, 0, 56 - buffered_);
+  for (std::size_t i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
+  }
+  process_block(buffer_.data());
+  buffered_ = 0;
 
   Hash256 out;
   for (std::size_t i = 0; i < 8; ++i) {
@@ -87,7 +97,9 @@ Hash256 Sha256::finish() noexcept {
   return out;
 }
 
-void Sha256::process_block(const std::uint8_t* block) noexcept {
+namespace detail {
+
+void compress_portable(std::array<std::uint32_t, 8>& state, const std::uint8_t* block) noexcept {
   std::array<std::uint32_t, 64> w{};
   for (std::size_t i = 0; i < 16; ++i) {
     w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
@@ -101,14 +113,14 @@ void Sha256::process_block(const std::uint8_t* block) noexcept {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  std::uint32_t a = state_[0];
-  std::uint32_t b = state_[1];
-  std::uint32_t c = state_[2];
-  std::uint32_t d = state_[3];
-  std::uint32_t e = state_[4];
-  std::uint32_t f = state_[5];
-  std::uint32_t g = state_[6];
-  std::uint32_t h = state_[7];
+  std::uint32_t a = state[0];
+  std::uint32_t b = state[1];
+  std::uint32_t c = state[2];
+  std::uint32_t d = state[3];
+  std::uint32_t e = state[4];
+  std::uint32_t f = state[5];
+  std::uint32_t g = state[6];
+  std::uint32_t h = state[7];
 
   for (std::size_t i = 0; i < 64; ++i) {
     const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
@@ -127,14 +139,94 @@ void Sha256::process_block(const std::uint8_t* block) noexcept {
     a = temp1 + temp2;
   }
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+#if defined(CONCORD_SHA256_X86)
+namespace {
+
+/// SHA extensions plus the SSE levels the block function below uses.
+bool cpu_has_sha_extensions() noexcept {
+  unsigned eax = 0;
+  unsigned ebx = 0;
+  unsigned ecx = 0;
+  unsigned edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  const bool ssse3 = (ecx & (1U << 9)) != 0;
+  const bool sse41 = (ecx & (1U << 19)) != 0;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  return ssse3 && sse41 && (ebx & (1U << 29)) != 0;
+}
+
+/// One block with the x86 SHA extensions: SHA256RNDS2 runs two rounds on
+/// the state held as (ABEF, CDGH) lane pairs; SHA256MSG1/MSG2 expand the
+/// message schedule four words at a time.
+__attribute__((target("sha,sse4.1,ssse3"))) void compress_sha_extensions(
+    std::array<std::uint32_t, 8>& state, const std::uint8_t* block) noexcept {
+  const __m128i byte_swap = _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  __m128i cdab = _mm_shuffle_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0])), 0xB1);
+  __m128i cdgh = _mm_shuffle_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4])), 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, cdgh, 8);
+  cdgh = _mm_blend_epi16(cdgh, cdab, 0xF0);
+  const __m128i abef_in = abef;
+  const __m128i cdgh_in = cdgh;
+
+  // words[g % 4] holds schedule words 4g..4g+3 while group g runs.
+  __m128i words[4] = {};  // A std::array would drop __m128i's alignment attribute.
+  for (std::size_t g = 0; g < 16; ++g) {
+    __m128i& w = words[g % 4];
+    if (g < 4) {
+      w = _mm_shuffle_epi8(_mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16 * g)),
+                           byte_swap);
+    } else {
+      // W[t] = σ1(W[t-2]) + W[t-7] + σ0(W[t-15]) + W[t-16], four at once:
+      // `w` still holds group g-4, words[(g+1) % 4] group g-3.
+      const __m128i& prev = words[(g + 3) % 4];
+      const __m128i t7 = _mm_alignr_epi8(prev, words[(g + 2) % 4], 4);
+      w = _mm_sha256msg2_epu32(_mm_add_epi32(_mm_sha256msg1_epu32(w, words[(g + 1) % 4]), t7),
+                               prev);
+    }
+    __m128i wk = _mm_add_epi32(
+        w, _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kRoundConstants[4 * g])));
+    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+    wk = _mm_shuffle_epi32(wk, 0x0E);
+    abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+  }
+
+  abef = _mm_add_epi32(abef, abef_in);
+  cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]), _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]), _mm_alignr_epi8(dchg, feba, 8));
+}
+
+const bool kHasShaExtensions = cpu_has_sha_extensions();
+
+}  // namespace
+
+bool compress_hardware(std::array<std::uint32_t, 8>& state, const std::uint8_t* block) noexcept {
+  if (!kHasShaExtensions) return false;
+  compress_sha_extensions(state, block);
+  return true;
+}
+#else
+bool compress_hardware(std::array<std::uint32_t, 8>&, const std::uint8_t*) noexcept {
+  return false;
+}
+#endif
+
+}  // namespace detail
+
+void Sha256::process_block(const std::uint8_t* block) noexcept {
+  if (!detail::compress_hardware(state_, block)) detail::compress_portable(state_, block);
 }
 
 Hash256 sha256(std::span<const std::uint8_t> data) noexcept {

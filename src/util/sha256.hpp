@@ -36,7 +36,9 @@ struct Hash256 {
 
 /// Incremental SHA-256 (FIPS 180-4), implemented from scratch so the
 /// repository has no external dependencies. Used for block hashes, state
-/// roots and EtherDoc document hashcodes.
+/// roots and EtherDoc document hashcodes. Blocks run through the x86 SHA
+/// extensions when the CPU has them (detected once at start-up), else
+/// through the portable block function; the digests are identical.
 class Sha256 {
  public:
   Sha256() noexcept { reset(); }
@@ -63,6 +65,19 @@ class Sha256 {
   std::size_t buffered_ = 0;
   std::uint64_t total_bytes_ = 0;
 };
+
+namespace detail {
+
+/// The SHA-256 block function (one 64-byte block into `state`), portable.
+void compress_portable(std::array<std::uint32_t, 8>& state, const std::uint8_t* block) noexcept;
+
+/// The same with the x86 SHA extensions; returns false, leaving `state`
+/// untouched, when the CPU lacks them. Sha256 uses it when it can — state
+/// roots hash tens of thousands of short messages per block — and the
+/// tests check both against each other.
+bool compress_hardware(std::array<std::uint32_t, 8>& state, const std::uint8_t* block) noexcept;
+
+}  // namespace detail
 
 /// One-shot convenience.
 [[nodiscard]] Hash256 sha256(std::span<const std::uint8_t> data) noexcept;

@@ -182,10 +182,8 @@ class BoostedArray {
   }
 
   void hash_state(StateHasher& hasher, std::string_view label) const {
-    hasher.begin_section(label);
     std::scoped_lock lk(mu_);
-    hasher.put_u64(data_.size());
-    data_.for_each([&hasher](const T& value) { hasher.put_bytes(encoded_bytes(value)); });
+    hasher.put_collection(label, data_.size(), data_.root());
   }
 
   [[nodiscard]] std::uint64_t space() const noexcept { return space_; }

@@ -1,13 +1,10 @@
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <mutex>
-#include <span>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
-#include <vector>
 
 #include "stm/lock_id.hpp"
 #include "stm/lock_mode.hpp"
@@ -156,35 +153,8 @@ class BoostedCounterMap {
   }
 
   void hash_state(StateHasher& hasher, std::string_view label) const {
-    hasher.begin_section(label);
     std::scoped_lock lk(mu_);
-    // All keys go into ONE flat buffer and the sort runs over an offset
-    // index. The per-entry std::vector formulation costs a heap
-    // allocation per key, which at million-account state is most of the
-    // root computation. The digest is byte-identical: same entries,
-    // same lexicographic key order, same put_* calls.
-    util::ByteWriter keys;
-    struct Item {
-      std::size_t begin, end;
-      Value value;
-    };
-    std::vector<Item> items;
-    items.reserve(data_.size());
-    data_.for_each([&keys, &items](const K& key, Value value) {
-      const std::size_t begin = keys.size();
-      encode_value(keys, key);
-      items.push_back(Item{begin, keys.size(), value});
-    });
-    const std::uint8_t* buf = keys.bytes().data();
-    std::sort(items.begin(), items.end(), [buf](const Item& a, const Item& b) {
-      return std::lexicographical_compare(buf + a.begin, buf + a.end, buf + b.begin,
-                                          buf + b.end);
-    });
-    hasher.put_u64(items.size());
-    for (const Item& item : items) {
-      hasher.put_bytes(std::span(buf + item.begin, item.end - item.begin));
-      hasher.put_u64(static_cast<std::uint64_t>(item.value));
-    }
+    hasher.put_collection(label, data_.size(), data_.root());
   }
 
   [[nodiscard]] std::uint64_t space() const noexcept { return space_; }

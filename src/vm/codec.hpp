@@ -57,8 +57,7 @@ void encode_value(util::ByteWriter& w, const std::vector<T>& v) {
   for (const T& item : v) encode_value(w, item);
 }
 
-/// Canonical byte-string form of a value, used to order map entries
-/// deterministically when hashing state.
+/// Canonical byte-string form of a value (what the state root hashes).
 template <typename T>
 [[nodiscard]] std::vector<std::uint8_t> encoded_bytes(const T& v) {
   util::ByteWriter w;

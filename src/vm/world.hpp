@@ -63,8 +63,11 @@ class World {
   }
 
   /// Canonical digest of all persistent state; the block's state root.
+  /// The label versions the format (v2: collections fold trie roots, see
+  /// StateHasher). Costs O(pages written since the last call), not
+  /// O(state): every collection caches its trie.
   [[nodiscard]] util::Hash256 state_root() const {
-    StateHasher hasher;
+    StateHasher hasher("concord/state-root/v2");
     contracts_.hash_state(hasher);
     balances_.hash_state(hasher, "__world/balances");
     return hasher.finish();
@@ -106,9 +109,9 @@ class World {
 /// at construction plus its (lazily computed) state root. Copying the
 /// handle shares the frozen fork; materialize() mints fresh mutable
 /// replicas — another fork, so both freezing and materializing cost
-/// O(contracts), not O(state). The only O(state) work left on this path
-/// is hashing, and state_root() does it at most once per snapshot, on
-/// first demand (or never, when the caller seeds a known root).
+/// O(contracts), not O(state). state_root() is computed at most once per
+/// snapshot, on first demand (or never, when the caller seeds a known
+/// root), and reuses the trie digests the frozen pages already cache.
 ///
 /// This is the seam deeper pipelining builds on: the depth-k validation
 /// ring keeps one snapshot per in-flight block to re-derive a validator
@@ -129,7 +132,7 @@ class WorldSnapshot {
   /// Freezes `world` and seeds the root cache with `known_root` — for
   /// callers that froze at a boundary whose root is already computed and
   /// verified (the node snapshots right after a block carrying that very
-  /// root). Skips the O(state) hash entirely.
+  /// root). Skips the hash entirely.
   WorldSnapshot(const World& world, const util::Hash256& known_root)
       : frozen_(std::make_shared<Frozen>(world.fork())) {
     std::call_once(frozen_->once, [&] { frozen_->root = known_root; });

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -202,6 +203,35 @@ TEST(ForkJoin, ParallelismActuallyHappens) {
     running.fetch_sub(1);
   });
   EXPECT_GE(peak.load(), 2);
+}
+
+TEST(ForkJoin, ParkedWorkersWakeForForkedSuccessorsAndDrain) {
+  // The root runs long enough for the idle workers to exhaust their spin
+  // rounds and park. Its fan-out must wake them (two successors run at
+  // once), and every run must return, which needs the drain to wake the
+  // workers parked at the tail.
+  ForkJoinPool pool(3);
+  constexpr std::size_t n = 9;  // 0 → {1..8}.
+  std::vector<std::vector<std::uint32_t>> preds(n);
+  for (std::uint32_t i = 1; i < n; ++i) preds[i] = {0};
+  const auto succs = invert(preds, n);
+  for (int round = 0; round < 20; ++round) {
+    std::atomic<int> running{0};
+    std::atomic<int> peak{0};
+    pool.run_dag(n, preds, succs, [&](std::uint32_t i) {
+      if (i == 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        return;
+      }
+      const int now = running.fetch_add(1) + 1;
+      int expected = peak.load();
+      while (now > expected && !peak.compare_exchange_weak(expected, now)) {
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      running.fetch_sub(1);
+    });
+    EXPECT_GE(peak.load(), 2) << "round " << round;
+  }
 }
 
 TEST(ForkJoin, ReusableAcrossRuns) {

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/bytes.hpp"
@@ -232,6 +235,46 @@ TEST(Sha256, MillionAVector) {
   for (int i = 0; i < 1000; ++i) h.update(chunk);
   EXPECT_EQ(h.finish().to_hex(),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST(Sha256, PaddingBoundaryVectors) {
+  // Messages whose terminator and length land at each edge of the last
+  // block: 55 bytes fit one padded block, 56 and 63 spill into a second,
+  // 64 pads a whole extra block.
+  const std::pair<std::size_t, const char*> vectors[] = {
+      {55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"},
+      {56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"},
+      {63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"},
+      {64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"},
+      {119, "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"},
+      {120, "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"},
+  };
+  for (const auto& [length, hex] : vectors) {
+    EXPECT_EQ(sha256(std::string(length, 'a')).to_hex(), hex) << length << " bytes";
+  }
+}
+
+TEST(Sha256, HardwareBlockFunctionMatchesPortable) {
+  // Sha256 picks the x86 SHA-extension block function when the CPU has
+  // it, so the vectors above run only one of the two paths on any host.
+  std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+  const auto next = [&x] {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    return x;
+  };
+  for (int trial = 0; trial < 256; ++trial) {
+    std::array<std::uint32_t, 8> state{};
+    for (auto& word : state) word = static_cast<std::uint32_t>(next() >> 32);
+    std::array<std::uint8_t, 64> block{};
+    for (auto& byte : block) byte = static_cast<std::uint8_t>(next() >> 56);
+    std::array<std::uint32_t, 8> portable = state;
+    std::array<std::uint32_t, 8> hardware = state;
+    detail::compress_portable(portable, block.data());
+    if (!detail::compress_hardware(hardware, block.data())) {
+      GTEST_SKIP() << "CPU lacks the SHA extensions; only the portable path runs here";
+    }
+    ASSERT_EQ(hardware, portable) << "trial " << trial;
+  }
 }
 
 TEST(Sha256, IncrementalMatchesOneShot) {

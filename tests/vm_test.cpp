@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "stm/conflict.hpp"
 #include "stm/runtime.hpp"
 #include "vm/boosted_counter_map.hpp"
 #include "vm/boosted_map.hpp"
 #include "vm/boosted_scalar.hpp"
+#include "vm/codec.hpp"
+#include "vm/cow.hpp"
 #include "vm/errors.hpp"
 #include "vm/exec_context.hpp"
 #include "vm/gas.hpp"
@@ -348,6 +354,146 @@ TEST(World, StateRootChangesWithState) {
   EXPECT_NE(root0, root1);
   w.balances().raw_set(Address::from_u64(1), 0);  // Back to nothing.
   EXPECT_EQ(w.state_root(), root0);
+}
+
+// -------------------------------------------------------- State trie ---
+
+using Pages = CowPages<std::uint64_t, std::int64_t, StableKeyHash>;
+using Chunks = CowChunks<std::int64_t>;
+
+std::int64_t value_of(std::uint64_t key) { return static_cast<std::int64_t>(key * 7 + 1); }
+
+/// The root of `pages`' current entries, rebuilt in a fresh store that has
+/// never cached a digest (and grows its directory its own way).
+util::Hash256 fresh_root(const Pages& pages) {
+  Pages fresh;
+  pages.for_each([&fresh](std::uint64_t k, std::int64_t v) { fresh.insert_or_assign(k, v); });
+  return fresh.root();
+}
+
+TEST(StateTrie, EmptyRootIsZeroAndContentMovesIt) {
+  Pages pages;
+  EXPECT_TRUE(pages.root().is_zero());
+  pages.insert_or_assign(1, 10);
+  const util::Hash256 one = pages.root();
+  EXPECT_FALSE(one.is_zero());
+  pages.insert_or_assign(1, 11);
+  EXPECT_NE(pages.root(), one);
+  pages.insert_or_assign(1, 10);
+  EXPECT_EQ(pages.root(), one);
+  EXPECT_TRUE(pages.erase(1));
+  EXPECT_TRUE(pages.root().is_zero());
+}
+
+TEST(StateTrie, SameContentSameRootWhateverTheDirectoryHistory) {
+  constexpr std::uint64_t kKeys = 3000;
+  constexpr std::uint64_t kExtra = 1'000'000;
+
+  Pages reserved;  // (a) Pre-sized, here well past the fill target.
+  reserved.reserve(kKeys * 16);
+  for (std::uint64_t k = 0; k < kKeys; ++k) reserved.insert_or_assign(k, value_of(k));
+
+  Pages grown;  // (b) Plain growth, in the opposite order.
+  for (std::uint64_t k = kKeys; k-- > 0;) grown.insert_or_assign(k, value_of(k));
+
+  Pages churned;  // (c) Doubled by extra keys that are erased again.
+  for (std::uint64_t k = 0; k < kKeys; ++k) {
+    churned.insert_or_assign(kExtra + k, -1);
+    churned.insert_or_assign(k, value_of(k));
+  }
+  for (std::uint64_t k = 0; k < kKeys; ++k) EXPECT_TRUE(churned.erase(kExtra + k));
+
+  ASSERT_GT(reserved.page_count(), grown.page_count());
+  ASSERT_GT(churned.page_count(), grown.page_count());
+  EXPECT_EQ(reserved.root(), grown.root());
+  EXPECT_EQ(churned.root(), grown.root());
+}
+
+TEST(StateTrie, StraddlingADoublingThresholdKeepsTheRoot) {
+  // A directory of P pages doubles on the insert that finds P * 8
+  // entries. One lineage stops at the threshold; the other crosses it
+  // with an extra key and erases it again, keeping twice the pages.
+  for (const std::uint64_t keys : {8U, 16U, 64U, 512U, 4096U}) {
+    Pages at;
+    Pages crossed;
+    for (std::uint64_t k = 0; k < keys; ++k) {
+      at.insert_or_assign(k, value_of(k));
+      crossed.insert_or_assign(keys - 1 - k, value_of(keys - 1 - k));
+    }
+    const util::Hash256 before = crossed.root();  // Cached at the old size.
+    crossed.insert_or_assign(keys, 0);
+    EXPECT_TRUE(crossed.erase(keys));
+    ASSERT_EQ(crossed.page_count(), 2 * at.page_count()) << keys << " keys";
+    EXPECT_EQ(crossed.root(), at.root()) << keys << " keys";
+    EXPECT_EQ(crossed.root(), before) << keys << " keys";
+  }
+}
+
+TEST(StateTrie, IncrementalRootMatchesAFreshRebuildAfterEveryRound) {
+  // Rounds of overwrites, inserts and erases on one lineage, with forks
+  // holding earlier versions alive: the cached root after each round must
+  // equal a rebuild with no caches, and the forks must keep theirs.
+  Pages pages;
+  for (std::uint64_t k = 0; k < 2000; ++k) pages.insert_or_assign(k, value_of(k));
+  std::vector<std::pair<Pages, util::Hash256>> frozen;
+  std::uint64_t x = 0x2545F4914F6CDD1DULL;
+  for (int round = 0; round < 24; ++round) {
+    const util::Hash256 root = pages.root();
+    ASSERT_EQ(root, fresh_root(pages)) << "round " << round;
+    if (round % 3 == 0) frozen.emplace_back(pages.fork(), root);
+    for (int w = 0; w < 40; ++w) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      const std::uint64_t key = x % 3000;
+      if (x % 5 == 0) {
+        (void)pages.erase(key);
+      } else {
+        pages.insert_or_assign(key, static_cast<std::int64_t>(x % 1000));
+      }
+    }
+  }
+  for (const auto& [fork, root] : frozen) EXPECT_EQ(fork.root(), root);
+}
+
+/// Every key has the same 64-bit hash: the trie cannot split them, so they
+/// fall back to one key-sorted bucket.
+struct CollidingHash {
+  std::size_t operator()(std::uint64_t) const noexcept { return 42; }
+};
+
+TEST(StateTrie, FullHashCollisionsFallBackToOneSortedBucket) {
+  using Colliding = CowPages<std::uint64_t, std::int64_t, CollidingHash>;
+  Colliding forward;
+  Colliding backward;
+  backward.reserve(256);
+  for (std::uint64_t k = 0; k < 40; ++k) {
+    forward.insert_or_assign(k, value_of(k));
+    backward.insert_or_assign(39 - k, value_of(39 - k));
+  }
+  EXPECT_EQ(forward.root(), backward.root());
+  forward.insert_or_assign(7, -7);
+  EXPECT_NE(forward.root(), backward.root());
+}
+
+TEST(StateTrie, ArrayRootDependsOnElementsOnly) {
+  // 300 elements are 5 chunks (an 8-leaf trie); growing to 600 (16
+  // leaves) and popping back restarts the trie cache twice.
+  Chunks direct;
+  for (std::int64_t i = 0; i < 300; ++i) direct.push_back(i);
+  Chunks popped;
+  for (std::int64_t i = 0; i < 600; ++i) popped.push_back(i);
+  const util::Hash256 longer = popped.root();
+  for (int i = 0; i < 300; ++i) popped.pop_back();
+  EXPECT_NE(longer, direct.root());
+  EXPECT_EQ(popped.root(), direct.root());
+
+  Chunks fork = direct.fork();
+  fork.set(130, -1);
+  EXPECT_NE(fork.root(), direct.root());
+  fork.mutate(130, [](std::int64_t& v) { v = 130; });
+  EXPECT_EQ(fork.root(), direct.root());
+  EXPECT_TRUE(Chunks{}.root().is_zero());
 }
 
 // ----------------------------------------------------- TraceRecorder ---

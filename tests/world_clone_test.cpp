@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -162,7 +163,31 @@ struct Mutation {
   std::int64_t b = 0;
 };
 
+/// Native-balance accounts the burst mutations draw from: enough that
+/// bursts double the directory several times and erase bursts thin it.
+constexpr std::uint64_t kBurstAccounts = 600;
+constexpr std::uint64_t kBurstSize = 48;
+
 void apply_mutation(World& world, const Mutation& m) {
+  switch (m.op % 12) {
+    case 8:  // Insert bursts: grow the balances directory.
+    case 9:
+      for (std::uint64_t i = 0; i < kBurstSize; ++i) {
+        world.balances().raw_set(addr((m.a + i * 7) % kBurstAccounts, 0x07),
+                                 1 + static_cast<Amount>((static_cast<std::uint64_t>(m.b) + i) % 999));
+      }
+      return;
+    case 10:  // Erase burst: the directory keeps its size.
+      for (std::uint64_t i = 0; i < kBurstSize; ++i) {
+        world.balances().raw_set(addr((m.a + i * 5) % kBurstAccounts, 0x07), 0);
+      }
+      return;
+    case 11:
+      world.contracts().as<contracts::Token>(kTokenAddr).raw_set_balance(addr(m.a % 37, 0x05), 0);
+      return;
+    default:
+      break;
+  }
   switch (m.op % 8) {
     case 0:
       world.contracts().as<contracts::Token>(kTokenAddr).raw_mint(addr(m.a % 37, 0x05),
@@ -208,8 +233,14 @@ util::Hash256 replay_reference_root(const std::vector<Mutation>& log) {
   return reference->state_root();
 }
 
+/// Every lineage computes its root incrementally at every step (its pages
+/// and directories carry cached digests, shared with its forks); the
+/// reference is a fresh world replayed from genesis that has hashed
+/// nothing before. Insert and erase bursts on the native balances double
+/// the directory and thin it again, so stale digests, a missed path
+/// invalidation, or a root that depends on directory size all diverge.
 TEST(WorldForkFuzz, InterleavedForkMutateMatchesEagerReplayReference) {
-  constexpr int kSteps = 48;
+  constexpr int kSteps = 96;
   constexpr std::size_t kMaxLineages = 5;
 
   std::uint64_t rng = 0x9e3779b97f4a7c15ULL;
@@ -326,7 +357,7 @@ TEST(WorldSnapshotHandle, SeededRootSkipsTheHashAndMatches) {
   const auto known_root = world->state_root();
   // The node's fast path: the boundary's root was just computed (and
   // verified) by the block that ended there, so the snapshot takes it on
-  // trust instead of rehashing O(state).
+  // trust instead of hashing it again.
   const WorldSnapshot snapshot(*world, known_root);
   EXPECT_EQ(snapshot.state_root(), known_root);
   EXPECT_EQ(snapshot.world().state_root(), known_root);
@@ -409,6 +440,69 @@ TEST(WorldForkConcurrency, SharedFrozenPagesServeConcurrentMaterializeAndWrites)
   }
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_EQ(boundary.state_root(), frozen_root);
+}
+
+/// The TSan target for the state-trie caches: digests are published into
+/// pages and directories that forks share. Two page-sharing forks and a
+/// snapshot hash on three threads at once (racing to fill the same
+/// slots), then one fork mutates and all three hash again. Every root
+/// must match a single-threaded reference built from scratch.
+TEST(WorldForkConcurrency, ConcurrentRootsOnSharedPagesMatchSingleThreadedReference) {
+  const auto load = [](World& world) {
+    for (std::uint64_t i = 0; i < 4096; ++i) {
+      world.balances().raw_set(addr(1'000 + i, 0x06), static_cast<Amount>(i + 1));
+    }
+  };
+  const auto mutate = [](World& world) {
+    for (std::uint64_t i = 0; i < 256; ++i) {
+      world.balances().raw_set(addr(1'000 + i * 13, 0x06), (i % 3 == 0) ? 0 : 5);
+    }
+    world.contracts().as<contracts::KvStore>(kEagerKvAddr).raw_put(3, 33);
+  };
+  const auto reference = make_six_contract_world();
+  load(*reference);
+  const util::Hash256 base_root = reference->state_root();
+  mutate(*reference);
+  const util::Hash256 mutated_root = reference->state_root();
+  ASSERT_NE(base_root, mutated_root);
+
+  for (int round = 0; round < 4; ++round) {
+    auto world = make_six_contract_world();
+    load(*world);
+    auto left = world->fork();
+    auto right = world->fork();
+    const WorldSnapshot snapshot(*world);
+    world.reset();  // The forks and the snapshot now share every page.
+
+    const auto hash_all = [&] {
+      std::array<util::Hash256, 3> roots{};
+      std::atomic<int> ready{0};
+      {
+        std::vector<std::jthread> threads;
+        const auto run = [&ready, &roots](std::size_t slot, auto&& root_of) {
+          ready.fetch_add(1);
+          while (ready.load() < 3) std::this_thread::yield();
+          roots[slot] = root_of();
+        };
+        threads.emplace_back([&] { run(0, [&] { return left->state_root(); }); });
+        threads.emplace_back([&] { run(1, [&] { return right->state_root(); }); });
+        threads.emplace_back([&] { run(2, [&] { return snapshot.state_root(); }); });
+      }
+      return roots;
+    };
+
+    const auto first = hash_all();
+    EXPECT_EQ(first[0], base_root);
+    EXPECT_EQ(first[1], base_root);
+    EXPECT_EQ(first[2], base_root);
+
+    mutate(*left);
+    const auto second = hash_all();
+    EXPECT_EQ(second[0], mutated_root);
+    EXPECT_EQ(second[1], base_root);
+    EXPECT_EQ(second[2], base_root);
+    EXPECT_EQ(snapshot.world().state_root(), base_root);
+  }
 }
 
 }  // namespace
